@@ -43,6 +43,29 @@ func NonOverlapProb(n, k int) float64 {
 	return math.Exp(LogBinomial(n-k, k) - LogBinomial(n, k))
 }
 
+// LiveNonOverlapProb returns the probability that a read quorum drawn
+// uniformly from the n−f servers a client does not suspect misses a write
+// quorum of size k drawn before the suspicion, j of whose members are among
+// the f suspects: the read must avoid the write's k−j live members, so it is
+// C(n−f−(k−j), k) / C(n−f, k). Two identities tie it to NonOverlapProb.
+// Averaged over j with Hypergeometric(n, f, k, j) weights it equals
+// NonOverlapProb(n, k): for any fixed read quorum a uniform write misses it
+// with that probability, so reading from the live set does not loosen the
+// Malkhi–Reiter–Wright bound. With j = 0, the case of a write also drawn
+// from the live set, it equals NonOverlapProb(n−f, k). When k > n−f no read
+// quorum fits in the live set and clients fall back to a uniform draw over
+// all n servers, so the result is NonOverlapProb(n, k); an impossible j
+// gives 0.
+func LiveNonOverlapProb(n, k, f, j int) float64 {
+	if j < 0 || j > k || j > f || k-j > n-f {
+		return 0
+	}
+	if k > n-f {
+		return NonOverlapProb(n, k)
+	}
+	return math.Exp(LogBinomial(n-f-(k-j), k) - LogBinomial(n-f, k))
+}
+
 // OverlapProb returns q = 1 − C(n−k, k)/C(n, k), the per-read "success"
 // probability of condition [R5] for the monotone probabilistic quorum
 // algorithm (Theorem 4).

@@ -289,3 +289,42 @@ func TestMaskingVulnerableProb(t *testing.T) {
 		prev = cur
 	}
 }
+
+// TestLiveNonOverlapIdentities pins LiveNonOverlapProb to NonOverlapProb:
+// averaged over the write quorum's suspect count j with hypergeometric
+// weights it is NonOverlapProb(n,k) (reading from the live set does not
+// loosen the bound), and at j = 0 (a write also drawn from the live set) it
+// is NonOverlapProb(n−f,k).
+func TestLiveNonOverlapIdentities(t *testing.T) {
+	cases := []struct{ n, k, f int }{
+		{9, 3, 0}, {9, 3, 1}, {9, 3, 2}, {9, 3, 4}, {9, 3, 6},
+		{5, 3, 1}, {5, 3, 2}, {5, 2, 1},
+		{25, 5, 3}, {64, 8, 10}, {100, 10, 7},
+		{9, 3, 7}, // k > n−f: the fallback draws over all n servers
+	}
+	for _, c := range cases {
+		var avg float64
+		for j := 0; j <= c.k; j++ {
+			avg += Hypergeometric(c.n, c.f, c.k, j) * LiveNonOverlapProb(c.n, c.k, c.f, j)
+		}
+		if want := NonOverlapProb(c.n, c.k); math.Abs(avg-want) > 1e-12 {
+			t.Errorf("n=%d k=%d f=%d: hypergeometric average %v, want NonOverlapProb(n,k) = %v",
+				c.n, c.k, c.f, avg, want)
+		}
+		if c.k > c.n-c.f {
+			continue
+		}
+		if got, want := LiveNonOverlapProb(c.n, c.k, c.f, 0), NonOverlapProb(c.n-c.f, c.k); math.Abs(got-want) > 1e-12 {
+			t.Errorf("n=%d k=%d f=%d: j=0 gives %v, want NonOverlapProb(n-f,k) = %v",
+				c.n, c.k, c.f, got, want)
+		}
+	}
+	// A write quorum entirely among the suspects can never meet a live read.
+	if got := LiveNonOverlapProb(9, 3, 3, 3); got != 1 {
+		t.Errorf("all-suspect write: %v, want 1", got)
+	}
+	// Impossible j: more suspects in the write than exist or than it holds.
+	if LiveNonOverlapProb(9, 3, 1, 2) != 0 || LiveNonOverlapProb(9, 3, 5, 4) != 0 {
+		t.Error("impossible suspect count must give 0")
+	}
+}

@@ -61,6 +61,12 @@ type TransportCounters struct {
 	// ViewAdopts counts membership views adopted mid-stream after a
 	// stale-epoch reject — the client-side pulse of a reconfiguration.
 	ViewAdopts Counter
+	// Suspicions counts replicas a pipelined client started to suspect
+	// (healthy → suspect transitions: a dropped connection, or a member
+	// missing from a timed-out quorum); Rejoins counts suspected replicas
+	// heard from again (suspect → healthy).
+	Suspicions Counter
+	Rejoins    Counter
 }
 
 // Snapshot returns the three fault-path counts at once.

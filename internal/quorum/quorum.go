@@ -16,6 +16,7 @@ package quorum
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -285,6 +286,71 @@ func Overlaps(a, b []int) bool {
 	}
 	for _, s := range b {
 		if _, ok := set[s]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// avoidTries bounds the rejection sampling PickAvoiding falls back to for
+// systems without a direct live-set sampler. With one suspect in a grid,
+// tree or projective plane most quorums already avoid it, so 32 draws miss
+// only when avoiding quorums are vanishingly rare (or absent, as for All).
+const avoidTries = 32
+
+// PickAvoiding picks a quorum containing no server whose bit is set in
+// avoid (bit i = server i; servers past 63 cannot be avoided), reporting
+// false when it finds none. The draw is the system's own strategy
+// conditioned on avoiding those servers: for Probabilistic and Majority a
+// uniform k-subset of the remaining servers, which keeps the Malkhi–Reiter–
+// Wright analysis (uniform choice) valid over the live set; for every other
+// system, rejection sampling from PickInto, bounded by avoidTries. It
+// reports false outright when fewer than Size() servers remain, and fills
+// dst like PickInto.
+func PickAvoiding(s System, dst []int, r *rand.Rand, avoid uint64) ([]int, bool) {
+	n := s.N()
+	live, nlive := ^avoid, n-bits.OnesCount64(avoid)
+	if n < 64 {
+		live &= 1<<uint(n) - 1
+		nlive = bits.OnesCount64(live)
+	}
+	if nlive < s.Size() {
+		return dst, false
+	}
+	switch s.(type) {
+	case *Probabilistic, *Majority:
+		if n <= 64 {
+			return randomLiveSubsetInto(dst, r, live, s.Size()), true
+		}
+	}
+	for i := 0; i < avoidTries; i++ {
+		dst = PickInto(s, dst, r)
+		if !touches(dst, avoid) {
+			return dst, true
+		}
+	}
+	return dst, false
+}
+
+// randomLiveSubsetInto fills dst with a uniformly random k-subset of the
+// servers whose bits are set in live: Floyd's sampler over ranks
+// 0..popcount(live)-1, each rank then mapped to the server holding it.
+func randomLiveSubsetInto(dst []int, r *rand.Rand, live uint64, k int) []int {
+	dst = RandomSubsetInto(dst, r, bits.OnesCount64(live), k)
+	for i, rank := range dst {
+		m := live
+		for ; rank > 0; rank-- {
+			m &= m - 1 // drop the lowest live server
+		}
+		dst[i] = bits.TrailingZeros64(m)
+	}
+	return dst
+}
+
+// touches reports whether q contains a server whose bit is set in mask.
+func touches(q []int, mask uint64) bool {
+	for _, s := range q {
+		if s < 64 && mask&(1<<uint(s)) != 0 {
 			return true
 		}
 	}

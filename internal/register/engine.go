@@ -3,6 +3,7 @@ package register
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync/atomic"
 
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
@@ -51,6 +52,11 @@ type Engine struct {
 
 	tally    *metrics.AccessTally
 	messages *metrics.Counter
+
+	// suspect is the suspicion mask of the transport-bound Pipeline or
+	// Keyspace that owns this engine (nil otherwise): while it is nonzero,
+	// picks avoid the suspected servers (see pickLive).
+	suspect *atomic.Uint64
 
 	// cacheHits counts monotone reads answered from the cache because the
 	// queried quorum only returned older timestamps.
@@ -256,13 +262,11 @@ func (e *Engine) RepairTargets(s *ReadSession, result msg.Tagged) (servers []int
 }
 
 func (e *Engine) pick(sys quorum.System) []int {
-	q := sys.Pick(e.rnd)
-	if e.tally != nil {
-		e.tally.Touch(q)
+	q, ok := e.pickLive(sys, nil)
+	if !ok {
+		q = sys.Pick(e.rnd)
 	}
-	if e.messages != nil {
-		e.messages.Add(2 * int64(len(q)))
-	}
+	e.account(q)
 	return q
 }
 
@@ -272,14 +276,38 @@ func (e *Engine) pick(sys quorum.System) []int {
 // uniform) algorithm here than in pick, so seeded runs draw retry quorums
 // from a different stream than first attempts — deterministic either way.
 func (e *Engine) pickInto(sys quorum.System, dst []int) []int {
-	q := quorum.PickInto(sys, dst, e.rnd)
+	q, ok := e.pickLive(sys, dst)
+	if !ok {
+		q = quorum.PickInto(sys, q, e.rnd)
+	}
+	e.account(q)
+	return q
+}
+
+// pickLive draws uniformly among the quorums that avoid every server the
+// owning client suspects (quorum.PickAvoiding). It reports false, leaving
+// the caller to its ordinary pick, when nothing is suspected — so the
+// healthy path keeps its exact random stream — or when no quorum avoids the
+// suspects (a singleton system, or fewer than Size() unsuspected servers).
+func (e *Engine) pickLive(sys quorum.System, dst []int) ([]int, bool) {
+	if e.suspect == nil {
+		return dst, false
+	}
+	avoid := e.suspect.Load()
+	if avoid == 0 {
+		return dst, false
+	}
+	return quorum.PickAvoiding(sys, dst, e.rnd, avoid)
+}
+
+// account records a picked quorum into the tally and message counter.
+func (e *Engine) account(q []int) {
 	if e.tally != nil {
 		e.tally.Touch(q)
 	}
 	if e.messages != nil {
 		e.messages.Add(2 * int64(len(q)))
 	}
-	return q
 }
 
 // BeginRead starts a read of reg: it picks the quorum and returns the

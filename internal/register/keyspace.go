@@ -69,22 +69,33 @@ func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keys
 
 // NewKeyspaceOver builds a Keyspace running over a Transport, binding its
 // sink to Deliver once for all shards. As with NewPipelineOver, a
-// transport-wide fatal error closes the keyspace; per-server errors are left
-// to the per-operation deadline.
+// transport-wide fatal error closes the keyspace, and with an op deadline
+// set the shards share one per-replica suspicion set: a per-server error
+// marks that server suspect for every shard's picks, while the operations
+// it strands are left to their deadlines.
 func NewKeyspaceOver(engines []*Engine, tr transport.Transport, opts ...PipelineOption) *Keyspace {
 	k := NewKeyspace(engines, func(server int, req any) {
 		_ = tr.Send(server, req)
 	}, opts...)
+	var sus *suspicion
+	if p := k.shards[0]; p.opTimeout > 0 {
+		sus = newSuspicion(p.opTimeout, p.counters)
+	}
 	for _, s := range k.shards {
 		// Each shard adopts views independently (whichever shard is rejected
 		// first re-targets the shared transport; Update is idempotent by
 		// epoch, so the rest are no-ops).
 		s.tr = tr
+		if sus != nil {
+			s.bindSuspicion(sus)
+		}
 	}
 	tr.Bind(func(server int, payload any, err error) {
 		if err != nil {
 			if server == transport.Broadcast {
 				k.Close(err)
+			} else {
+				sus.suspect(server)
 			}
 			return
 		}
@@ -101,6 +112,10 @@ func NewKeyspaceOver(engines []*Engine, tr transport.Transport, opts ...Pipeline
 func (k *Keyspace) ShardFor(key msg.RegisterID) int {
 	return int(msg.Mix32(uint32(key))) & int(k.mask)
 }
+
+// Suspected returns the servers the keyspace currently suspects as a
+// bitmask (bit i = server i), shared by all shards; see Pipeline.Suspected.
+func (k *Keyspace) Suspected() uint64 { return k.shards[0].Suspected() }
 
 // Shards returns the number of client-side shards.
 func (k *Keyspace) Shards() int { return len(k.shards) }

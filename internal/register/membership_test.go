@@ -924,3 +924,53 @@ func TestMembershipViewChangeMidBatch(t *testing.T) {
 	}
 	memCheckTrace(t, log.Ops())
 }
+
+// TestMembershipAdoptViewClearsSuspicion: server indices renumber with the
+// view, so a pipeline or keyspace adopting a newer view forgets every
+// suspicion it held — the old bits would name other servers.
+func TestMembershipAdoptViewClearsSuspicion(t *testing.T) {
+	const n = 5
+	timeout := register.PipeTimeout(5*time.Millisecond, 1)
+	// Every request vanishes, so each attempt's quorum members become
+	// suspect when the attempt times out.
+	t.Run("pipeline", func(t *testing.T) {
+		e := register.NewEngine(1, quorum.NewMajority(n), rng.Derive(1, "adopt.suspicion"))
+		p := register.NewPipelineOver(e, newBlackhole(n, 0), timeout)
+		defer p.Close(nil)
+		if _, err := p.Read(0); err == nil {
+			t.Fatal("read through a blackhole succeeded")
+		}
+		if p.Suspected() == 0 {
+			t.Fatal("timed-out quorum left no suspects")
+		}
+		if !p.AdoptView(memView(1, n, nil)) {
+			t.Fatal("view not adopted")
+		}
+		if got := p.Suspected(); got != 0 {
+			t.Fatalf("Suspected=%#b after AdoptView, want 0", got)
+		}
+	})
+	t.Run("keyspace", func(t *testing.T) {
+		const shards = 2
+		engines := make([]*register.Engine, shards)
+		for i := range engines {
+			engines[i] = register.NewEngine(1, quorum.NewMajority(n),
+				rng.Derive(1, fmt.Sprintf("adopt.suspicion.%d", i)),
+				register.WithOpStride(uint64(i), shards))
+		}
+		ks := register.NewKeyspaceOver(engines, newBlackhole(n, 0), timeout)
+		defer ks.Close(nil)
+		if _, err := ks.Read(0); err == nil {
+			t.Fatal("read through a blackhole succeeded")
+		}
+		if ks.Suspected() == 0 {
+			t.Fatal("timed-out quorum left no suspects")
+		}
+		if !ks.AdoptView(memView(1, n, nil)) {
+			t.Fatal("view not adopted")
+		}
+		if got := ks.Suspected(); got != 0 {
+			t.Fatalf("Suspected=%#b after AdoptView, want 0", got)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package register
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,10 @@ type Pipeline struct {
 	// NewPipelineOver (nil otherwise): view adoptions triggered by stale-epoch
 	// rejects re-target it before the rejected operation re-fans out.
 	tr transport.Transport
+	// sus is the per-replica suspicion of a transport-bound pipeline with an
+	// op deadline (nil otherwise), shared with the engine and, in a
+	// Keyspace, with every shard.
+	sus *suspicion
 
 	clock    func() int64
 	log      *trace.Log
@@ -177,19 +182,26 @@ func NewPipeline(engine *Engine, send SendFunc, opts ...PipelineOption) *Pipelin
 // NewPipelineOver builds a Pipeline running over a Transport: sends go
 // through tr.Send (hand-off failures surface as missing replies, resolved by
 // the per-operation deadline), and the transport's sink feeds Deliver. A
-// transport-wide fatal error closes the pipeline with it; per-server error
-// events are ignored — the deadline machinery already covers lost replies,
-// and a pipelined client cannot attribute a connection failure to any one of
-// its many in-flight operations.
+// transport-wide fatal error closes the pipeline with it. With an op
+// deadline (PipeTimeout) set, the pipeline also keeps per-replica suspicion
+// (see suspicion): a per-server error event marks that server suspect, so
+// later picks avoid it, while the in-flight operations it strands are left
+// to their deadlines — a pipelined client cannot attribute a connection
+// failure to any one of its many in-flight operations.
 func NewPipelineOver(engine *Engine, tr transport.Transport, opts ...PipelineOption) *Pipeline {
 	p := NewPipeline(engine, func(server int, req any) {
 		_ = tr.Send(server, req)
 	}, opts...)
 	p.tr = tr
+	if p.opTimeout > 0 {
+		p.bindSuspicion(newSuspicion(p.opTimeout, p.counters))
+	}
 	tr.Bind(func(server int, payload any, err error) {
 		if err != nil {
 			if server == transport.Broadcast {
 				p.Close(err)
+			} else {
+				p.sus.suspect(server)
 			}
 			return
 		}
@@ -202,9 +214,25 @@ func NewPipelineOver(engine *Engine, tr transport.Transport, opts ...PipelineOpt
 	return p
 }
 
+// bindSuspicion attaches s to the pipeline and its engine's picks.
+func (p *Pipeline) bindSuspicion(s *suspicion) {
+	p.sus = s
+	p.engine.suspect = &s.mask
+}
+
 // Engine returns the wrapped engine. Callers must not invoke its methods
 // while operations are in flight.
 func (p *Pipeline) Engine() *Engine { return p.engine }
+
+// Suspected returns the servers the pipeline currently suspects as a
+// bitmask (bit i = server i); always 0 without per-replica suspicion (see
+// NewPipelineOver).
+func (p *Pipeline) Suspected() uint64 {
+	if p.sus == nil {
+		return 0
+	}
+	return p.sus.mask.Load()
+}
 
 // AdoptView installs a newer membership view on the pipeline's engine (and
 // re-targets its transport, when it has one), reporting whether the view was
@@ -215,6 +243,9 @@ func (p *Pipeline) Engine() *Engine { return p.engine }
 func (p *Pipeline) AdoptView(v quorum.View) bool {
 	p.mu.Lock()
 	ok := p.engine.AdoptView(v)
+	if ok {
+		p.forgetSuspectsLocked()
+	}
 	p.mu.Unlock()
 	if !ok {
 		return false
@@ -226,6 +257,14 @@ func (p *Pipeline) AdoptView(v quorum.View) bool {
 		_, _ = transport.Update(p.tr, v)
 	}
 	return true
+}
+
+// forgetSuspectsLocked clears the suspicion set on a view adoption: server
+// indices renumber with the view, so the old bits name other servers.
+func (p *Pipeline) forgetSuspectsLocked() {
+	if p.sus != nil {
+		p.sus.mask.Store(0)
+	}
 }
 
 // Epoch returns the membership epoch the pipeline currently operates under
@@ -532,12 +571,9 @@ func (p *Pipeline) startLocked(op *PendingOp, sends *[]outMsg) {
 	case opRead, opAtomicRead:
 		op.rs = p.engine.BeginRead(op.reg)
 		p.inflight[op.rs.Op] = op
-		// Box the request once: the concrete ReadReq goes into an interface
-		// here, not per quorum member inside the append below.
-		req := any(op.rs.Request())
-		for _, srv := range op.rs.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
+		// The request is boxed once, by this call, not once per quorum
+		// member.
+		p.fanOutLocked(op.rs.Quorum, op.rs.Request(), sends)
 	case opWrite:
 		op.ws = p.engine.BeginWrite(op.reg, op.val)
 		p.inflight[op.ws.Op] = op
@@ -547,13 +583,28 @@ func (p *Pipeline) startLocked(op *PendingOp, sends *[]outMsg) {
 				Invoke: op.invoke, Tag: op.ws.Tag,
 			})
 		}
-		req := any(op.ws.Request())
-		for _, srv := range op.ws.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
+		p.fanOutLocked(op.ws.Quorum, op.ws.Request(), sends)
 	}
 	p.lapPickLocked(op)
 	p.armTimerLocked(op)
+}
+
+// fanOutLocked captures req's sends to every quorum member and, when a
+// probe round is due, to every suspected server outside the quorum. A probe
+// never counts toward the quorum (sessions ignore non-members' replies); its
+// reply only clears the suspicion.
+func (p *Pipeline) fanOutLocked(quorum []int, req any, sends *[]outMsg) {
+	for _, srv := range quorum {
+		*sends = append(*sends, outMsg{server: srv, req: req})
+	}
+	if p.sus == nil {
+		return
+	}
+	for probes := p.sus.probeTargets(); probes != 0; probes &= probes - 1 {
+		if srv := bits.TrailingZeros64(probes); pos(quorum, srv) < 0 {
+			*sends = append(*sends, outMsg{server: srv, req: req})
+		}
+	}
 }
 
 // lapPickLocked closes op's pick phase (session opened, fan-out captured)
@@ -681,6 +732,7 @@ func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
 		p.mu.Unlock()
 		return
 	}
+	p.suspectSilentLocked(op)
 	// op.attempt counts re-issues, so attempt == retries means the budget of
 	// retries+1 total attempts is spent — the same arithmetic as the serial
 	// Operation.Retry (pinned by TestRetryBudgetArithmetic).
@@ -702,6 +754,31 @@ func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
 	p.reissueLocked(op, &sends)
 	p.mu.Unlock()
 	p.dispatch(sends)
+}
+
+// suspectSilentLocked marks suspect the members of a timed-out attempt's
+// quorum whose reply or acknowledgement never came. A quorum picked under an
+// older view is skipped: its indices number other servers now.
+func (p *Pipeline) suspectSilentLocked(op *PendingOp) {
+	if p.sus == nil {
+		return
+	}
+	var quorum []int
+	var heard uint64
+	var epoch msg.Epoch
+	if op.kind == opWrite || op.wback {
+		quorum, heard, epoch = op.ws.Quorum, op.ws.acked, op.ws.Epoch
+	} else {
+		quorum, heard, epoch = op.rs.Quorum, op.rs.replied, op.rs.Epoch
+	}
+	if epoch != p.engine.Epoch() {
+		return
+	}
+	for i, srv := range quorum {
+		if heard&(1<<uint(i)) == 0 {
+			p.sus.suspect(srv)
+		}
+	}
 }
 
 // reissueLocked re-fans an in-flight operation's current phase on a freshly
@@ -730,18 +807,12 @@ func (p *Pipeline) reissueLocked(op *PendingOp, sends *[]outMsg) {
 		delete(p.inflight, op.ws.Op)
 		op.ws = p.engine.RetryWrite(op.ws)
 		p.inflight[op.ws.Op] = op
-		req := any(op.ws.Request())
-		for _, srv := range op.ws.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
+		p.fanOutLocked(op.ws.Quorum, op.ws.Request(), sends)
 	default:
 		delete(p.inflight, op.rs.Op)
 		op.rs = p.engine.RetryRead(op.rs)
 		p.inflight[op.rs.Op] = op
-		req := any(op.rs.Request())
-		for _, srv := range op.rs.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
+		p.fanOutLocked(op.rs.Quorum, op.rs.Request(), sends)
 	}
 	p.lapPickLocked(op)
 	p.armTimerLocked(op)
@@ -765,6 +836,7 @@ func (p *Pipeline) Deliver(server int, payload any) {
 // ReadReply feeds one concrete read reply into the pipeline — the unboxed
 // leg of Deliver (transport.ReplySink).
 func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
+	p.sus.heard(server)
 	var sends []outMsg
 	p.mu.Lock()
 	completed := p.readReplyLocked(server, m, &sends)
@@ -819,6 +891,7 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]outMsg)
 // WriteAck feeds one concrete write acknowledgement into the pipeline — the
 // unboxed leg of Deliver (transport.ReplySink).
 func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
+	p.sus.heard(server)
 	var sends []outMsg
 	p.mu.Lock()
 	completed := p.writeAckLocked(server, m, &sends)
@@ -862,6 +935,7 @@ var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); re
 // closes and completion callbacks still run after the lock is dropped, in
 // element order, exactly as on the per-element path.
 func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	p.sus.heard(server)
 	sends := outMsgPool.Get().(*[]outMsg)
 	done := doneOpsPool.Get().(*[]*PendingOp)
 	p.mu.Lock()
@@ -894,7 +968,7 @@ func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 // long reconfiguration cannot exhaust an operation. Rejects for attempts the
 // pipeline already abandoned drain as stale drops like any late reply.
 func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
-	_ = server
+	p.sus.heard(server)
 	var sends []outMsg
 	p.mu.Lock()
 	op := p.inflight[m.Op]
@@ -906,8 +980,11 @@ func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 		return
 	}
 	adopted := p.engine.AdoptView(m.View)
-	if adopted && p.counters != nil {
-		p.counters.ViewAdopts.Inc()
+	if adopted {
+		p.forgetSuspectsLocked()
+		if p.counters != nil {
+			p.counters.ViewAdopts.Inc()
+		}
 	}
 	p.reissueLocked(op, &sends)
 	p.mu.Unlock()
@@ -937,10 +1014,7 @@ func (p *Pipeline) beginWriteBackLocked(op *PendingOp, tag msg.Tagged, sends *[]
 	}
 	op.ws = p.engine.BeginWriteWithTS(op.reg, tag)
 	p.inflight[op.ws.Op] = op
-	req := any(op.ws.Request())
-	for _, srv := range op.ws.Quorum {
-		*sends = append(*sends, outMsg{server: srv, req: req})
-	}
+	p.fanOutLocked(op.ws.Quorum, op.ws.Request(), sends)
 	// Restart the attempt deadline for the new phase (Reset reschedules the
 	// pooled timer); a read-phase expiry already dispatched and blocked on
 	// the lock retries the write-back on a fresh quorum, which is benign.

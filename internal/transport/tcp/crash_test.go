@@ -4,9 +4,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
@@ -398,5 +401,119 @@ func TestServerCloseDrainsUnderCrashLoad(t *testing.T) {
 	case <-hammerDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("client operation wedged after server close")
+	}
+}
+
+// TestKeyspaceCrashCostsOneTimeout is the per-replica suspicion regression
+// test: a keyspace client on n=5 majority under steady asynchronous load
+// loses replica 1. The crashed store hangs up on the first request that
+// reaches it, the client suspects the server on that drop event, and from
+// then on no new quorum touches it — so every op, including those caught in
+// flight by the crash, completes within two op timeouts instead of
+// re-hitting the dead replica retry after retry. After Recover, a probe's
+// reply clears the suspicion and server 1 is picked again within a few
+// probe intervals (one op timeout each).
+func TestKeyspaceCrashCostsOneTimeout(t *testing.T) {
+	const n, opTimeout = 5, 100 * time.Millisecond
+	addrs := make([]string, n)
+	stores := make([]*replica.Store, n)
+	for i := range addrs {
+		srv, err := Listen(replica.New(msg.NodeID(i), nil), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		addrs[i], stores[i] = srv.Addr(), srv.Store()
+	}
+	tally := metrics.NewAccessTally(n)
+	tc := &metrics.TransportCounters{}
+	c, err := DialKeyspace(addrs, quorum.NewMajority(n), 4,
+		WithOpTimeout(opTimeout), WithTally(tally), WithTransportCounters(tc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var (
+		wg        sync.WaitGroup
+		maxLat    atomic.Int64
+		failures  atomic.Int64
+		stop      = make(chan struct{})
+		generator sync.WaitGroup
+	)
+	generator.Add(1)
+	go func() {
+		defer generator.Done()
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			start := time.Now()
+			wg.Add(1)
+			done := func(_ msg.Tagged, err error) {
+				defer wg.Done()
+				if err != nil {
+					failures.Add(1)
+				}
+				lat := int64(time.Since(start))
+				for m := maxLat.Load(); lat > m && !maxLat.CompareAndSwap(m, lat); m = maxLat.Load() {
+				}
+			}
+			key := msg.RegisterID(i % 64)
+			if i%2 == 0 {
+				c.WriteAsyncFunc(key, float64(i), done)
+			} else {
+				c.ReadAsyncFunc(key, done)
+			}
+		}
+	}()
+	waitFor := func(what string, within time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for !cond() {
+			if time.Now().After(deadline) {
+				close(stop)
+				generator.Wait()
+				t.Fatalf("%s not within %v", what, within)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	time.Sleep(2 * opTimeout)
+	stores[1].Crash()
+	waitFor("suspicion of the crashed replica", 10*opTimeout, func() bool {
+		return c.Keyspace().Suspected()&(1<<1) != 0
+	})
+	// Let picks that raced the drop event finish accounting, then no new
+	// quorum may touch server 1 while it stays down.
+	time.Sleep(5 * time.Millisecond)
+	before := tally.Counts()[1]
+	time.Sleep(5 * opTimeout)
+	if got := tally.Counts()[1] - before; got != 0 {
+		t.Errorf("%d quorums touched the suspected replica after its drop event", got)
+	}
+
+	stores[1].Recover()
+	waitFor("server 1 picked again after Recover", 6*opTimeout, func() bool {
+		return tally.Counts()[1] > before
+	})
+	close(stop)
+	generator.Wait()
+	wg.Wait()
+
+	if f := failures.Load(); f != 0 {
+		t.Errorf("%d ops failed", f)
+	}
+	if lat := time.Duration(maxLat.Load()); lat > 2*opTimeout {
+		t.Errorf("slowest op took %v, want within 2x the %v op timeout", lat, opTimeout)
+	}
+	if tc.Suspicions.Value() == 0 || tc.Rejoins.Value() == 0 {
+		t.Errorf("Suspicions=%d Rejoins=%d, want both nonzero",
+			tc.Suspicions.Value(), tc.Rejoins.Value())
 	}
 }

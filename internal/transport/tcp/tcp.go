@@ -19,7 +19,7 @@
 // # Fault model
 //
 // Replica servers may crash (Store.Crash) and later recover; connections
-// may break. The client survives both through three mechanisms, enabled by
+// may break. The client survives both through four mechanisms, enabled by
 // WithOpTimeout:
 //
 //   - Deadlines: every per-member exchange carries a read/write deadline,
@@ -34,6 +34,14 @@
 //   - Reconnect: a connection that errored is marked dead and transparently
 //     re-dialed (with its own capped backoff) on next use, so a recovered
 //     replica rejoins without restarting the client.
+//   - Per-replica suspicion (pipelined and keyspace clients): a connection
+//     a crashed store hung up, or a quorum member silent through an op
+//     timeout, marks that server suspect, and later quorums are drawn
+//     uniformly from the unsuspected servers, so a crash costs the ops it
+//     caught in flight one timeout instead of the whole crash window. Once
+//     per op timeout an in-flight request is also sent to each suspect as a
+//     probe that counts toward no quorum; any reply from a suspect clears
+//     it, so a recovered replica rejoins on its first answer.
 //
 // Without WithOpTimeout the client keeps the strict one-shot behaviour:
 // any member failure fails the operation immediately.

@@ -63,6 +63,15 @@ echo "== load harness smoke soak =="
 go run -race ./cmd/loadgen -soak -duration 30s -rate 250 -servers 3 \
     -schedule '@5s crash 1; @10s recover 1; @15s slow 2 2ms; @20s slow 2 0s'
 
+echo "== suspicion soak =="
+# A second trace-checked soak over five servers, aimed at per-replica
+# suspicion: the crash is detected from the hung-up connection, the
+# partition only from op timeouts (its links go silent without an error),
+# and probes bring both servers back after recover and heal. The
+# trace checkers are the exit criterion, as above.
+go run -race ./cmd/loadgen -soak -duration 15s -rate 250 -servers 5 \
+    -schedule '@3s crash 1; @6s partition 2; @9s recover 1; @12s heal'
+
 echo "== fuzz corpora =="
 # Replay every checked-in fuzz corpus entry (plus the f.Add seeds) as
 # ordinary tests: the wire codec's round-trip and malformed-input fuzzers
